@@ -809,7 +809,7 @@ def _command_ingest(args: argparse.Namespace) -> int:
         if args.geo:
             quality = quality.with_geo_defaults()
         result = run_pipeline(replay_records(path), quality, source=f"{path} (replay)")
-        database, report = database_from_records(result.records), result.report
+        database, report = database_from_records(result), result.report
     else:
         database, report = _load_report(path, args.format, quality)
     print(f"source            : {report.source} (policy={report.policy})")

@@ -5,13 +5,13 @@ coordinates, duplicated and out-of-order timestamps, teleporting fixes.
 This package is the single validation + repair boundary every ingest path
 runs through before records reach the miners:
 
-* :mod:`repro.quality.rules` — the reason-code vocabulary and the
-  record-level checks;
+* :mod:`repro.quality.rules` — the reason-code vocabulary, the raw-record
+  type and the teleport gate's distance;
 * :mod:`repro.quality.config` — :class:`QualityConfig`, the policy /
   threshold knobs (``strict`` / ``lenient`` / ``repair``);
 * :mod:`repro.quality.pipeline` — :func:`run_pipeline`, the policy-driven
-  validator that turns raw records into clean ones plus an
-  :class:`IngestReport`;
+  columnar validator that turns raw record chunks into clean columns plus
+  an :class:`IngestReport`;
 * :mod:`repro.quality.report` — the fully-accounted ingest report
   (``accepted + dropped + repaired == total``, always);
 * :mod:`repro.quality.quarantine` — the dead-letter sink for rejected raw
@@ -21,7 +21,7 @@ See ``docs/data_quality.md`` for the operational walkthrough.
 """
 
 from .config import GEO_BOUNDS, POLICIES, QualityConfig
-from .pipeline import CleanRecord, PipelineResult, run_pipeline
+from .pipeline import CleanRecord, PipelineResult, RecordChunk, run_pipeline
 from .quarantine import QuarantineWriter, load_quarantine, replay_records
 from .report import IngestError, IngestReport
 from .rules import (
@@ -43,6 +43,7 @@ __all__ = [
     "QualityConfig",
     "CleanRecord",
     "PipelineResult",
+    "RecordChunk",
     "run_pipeline",
     "QuarantineWriter",
     "load_quarantine",

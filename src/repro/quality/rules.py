@@ -1,21 +1,23 @@
-"""Reason codes and record-level validation rules.
+"""Reason codes, the raw-record type and the distance rules.
 
 Every rejected or repaired record is tagged with exactly one *reason code*
 from the vocabulary below; the :class:`~repro.quality.report.IngestReport`
 aggregates per-code counts, and the quarantine sink stores the code next to
 the raw record so a dead-letter file explains itself.
 
-The checks here are the *stateless* (single-record) ones.  Sequence rules —
-duplicate / non-monotone timestamps, teleport detection, minimum samples per
-object — need per-object state and live in
-:mod:`repro.quality.pipeline`.
+The rules themselves run as array passes in :mod:`repro.quality.pipeline`;
+this module holds what they share: the vocabulary, :class:`RawRecord` and
+the teleport gate's distance, both scalar (:func:`travel_distance`, the
+reference) and vectorized (:func:`speed_violations`, which re-decides every
+near-tie with the scalar distance so the two never disagree).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 __all__ = [
     "REASONS",
@@ -28,8 +30,8 @@ __all__ = [
     "TELEPORT",
     "TOO_FEW_SAMPLES",
     "RawRecord",
-    "point_violation",
     "travel_distance",
+    "speed_violations",
 ]
 
 #: The input could not be decomposed into fields at all (wrong column
@@ -63,8 +65,7 @@ REASONS = (
 )
 
 
-@dataclass(frozen=True)
-class RawRecord:
+class RawRecord(NamedTuple):
     """One input record exactly as the parse stage saw it.
 
     A format reader produces one :class:`RawRecord` per accounting unit
@@ -95,30 +96,6 @@ class RawRecord:
         )
 
 
-def point_violation(
-    record: RawRecord, bounds: Optional[Tuple[float, float, float, float]]
-) -> Optional[str]:
-    """The stateless reason code violated by ``record``, if any.
-
-    Checks run in :data:`REASONS` order: parse-stage errors win, then
-    finiteness, then the ``(min_x, min_y, max_x, max_y)`` bounding box
-    (inclusive; ``None`` disables the bounds check).
-    """
-    if record.error is not None:
-        return record.error
-    if not record.is_parsed():
-        return SCHEMA
-    if not (
-        math.isfinite(record.t) and math.isfinite(record.x) and math.isfinite(record.y)
-    ):
-        return NON_FINITE
-    if bounds is not None:
-        min_x, min_y, max_x, max_y = bounds
-        if not (min_x <= record.x <= max_x and min_y <= record.y <= max_y):
-            return OUT_OF_BOUNDS
-    return None
-
-
 def travel_distance(
     x0: float, y0: float, x1: float, y1: float, metric: str
 ) -> float:
@@ -137,3 +114,55 @@ def travel_distance(
 
         return haversine_distance(lat1=y0, lon1=x0, lat2=y1, lon2=x1)
     return math.hypot(x1 - x0, y1 - y0)
+
+
+#: Vectorized distances within this relative distance of the gate are
+#: re-decided with :func:`travel_distance`: numpy's ``hypot`` / ``sin`` /
+#: ``cos`` / ``asin`` may differ from :mod:`math` in the last bits.
+GATE_RTOL = 1e-9
+
+#: Haversine distances above this share of half the great circle are
+#: re-decided too: near the antipode ``asin`` amplifies last-bit
+#: differences far beyond :data:`GATE_RTOL`.
+ANTIPODAL_SHARE = 0.999
+
+
+def speed_violations(
+    x0: np.ndarray,
+    y0: np.ndarray,
+    t0: np.ndarray,
+    x1: np.ndarray,
+    y1: np.ndarray,
+    t1: np.ndarray,
+    max_speed: float,
+    metric: str,
+) -> np.ndarray:
+    """Per fix pair, whether the jump from fix 0 to fix 1 breaks the gate.
+
+    The vectorized equivalent of ``travel_distance(x0, y0, x1, y1, metric)
+    > max_speed * (t1 - t0)`` pair by pair, and equal to it on every pair:
+    pairs whose vectorized distance is within :data:`GATE_RTOL` of the
+    limit (or, under haversine, near-antipodal) are re-decided with the
+    scalar :func:`travel_distance`.
+    """
+    limit = max_speed * (t1 - t0)
+    with np.errstate(invalid="ignore"):
+        if metric == "haversine":
+            from ..trajectory.geo import EARTH_RADIUS_M, haversine_distances
+
+            distance = haversine_distances(lat1=y0, lon1=x0, lat2=y1, lon2=x1)
+            # NaN: latitudes beyond the poles can make the haversine
+            # negative; the scalar formula then raises, and so must this.
+            near = np.isnan(distance) | (
+                distance >= ANTIPODAL_SHARE * math.pi * EARTH_RADIUS_M
+            )
+        else:
+            distance = np.hypot(x1 - x0, y1 - y0)
+            near = np.zeros(len(distance), dtype=bool)
+        near |= np.abs(distance - limit) <= GATE_RTOL * np.abs(limit)
+        over = distance > limit
+    for row in np.flatnonzero(near).tolist():
+        over[row] = travel_distance(
+            float(x0[row]), float(y0[row]), float(x1[row]), float(y1[row]), metric
+        ) > float(limit[row])
+    return over

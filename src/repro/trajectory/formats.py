@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import datetime as _dt
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
-from ..geometry.point import Point
 from ..quality import IngestReport, QualityConfig, RawRecord, run_pipeline
-from ..quality.pipeline import CleanRecord
+from ..quality.pipeline import PipelineResult
 from ..quality.rules import PARSE, SCHEMA
 from .trajectory import TrajectoryDatabase
 
@@ -119,7 +118,7 @@ def load_tdrive_report(
     result = run_pipeline(
         _tdrive_records(files), _geo_quality(quality), source=f"{source} (tdrive)"
     )
-    database = _records_to_database(result.records, time_unit=time_unit, origin=origin)
+    database = _rescaled_database(result, time_unit=time_unit, origin=origin)
     return database, result.report
 
 
@@ -216,7 +215,7 @@ def load_geolife_plt_report(
     result = run_pipeline(
         _geolife_records(path, object_id), _geo_quality(quality), source=str(path)
     )
-    database = _records_to_database(result.records, time_unit=time_unit, origin=origin)
+    database = _rescaled_database(result, time_unit=time_unit, origin=origin)
     return database, result.report
 
 
@@ -261,7 +260,7 @@ def load_geolife_user_report(
     result = run_pipeline(
         _all_records(), _geo_quality(quality), source=str(user_directory)
     )
-    database = _records_to_database(result.records, time_unit=time_unit, origin=origin)
+    database = _rescaled_database(result, time_unit=time_unit, origin=origin)
     return database, result.report
 
 
@@ -278,19 +277,17 @@ def load_geolife_user(
     )[0]
 
 
-def _records_to_database(
-    records: List[CleanRecord],
+def _rescaled_database(
+    result: PipelineResult,
     time_unit: float,
     origin: Optional[float],
 ) -> TrajectoryDatabase:
     """Rescale accepted epoch-second records onto the relative time base."""
     if time_unit <= 0:
         raise ValueError("time_unit must be positive")
-    database = TrajectoryDatabase()
-    if not records:
-        return database
-    zero = origin if origin is not None else min(r.t for r in records)
-    for object_id, epoch, lon, lat in records:
-        t = (epoch - zero) / time_unit
-        database.add_sample(object_id, t, Point(lon, lat))
-    return database
+    if not len(result.t):
+        return TrajectoryDatabase()
+    zero = origin if origin is not None else float(result.t.min())
+    return TrajectoryDatabase.from_columns(
+        result.object_id, (result.t - zero) / time_unit, result.x, result.y
+    )

@@ -4,7 +4,8 @@ The mining algorithms work in a planar metric space (all thresholds —
 ``eps``, ``delta`` — are metres).  Public trajectory datasets such as T-Drive
 or GeoLife store WGS-84 latitude/longitude instead, so this module provides
 
-* :func:`haversine_distance` — great-circle distance between two fixes,
+* :func:`haversine_distance` — great-circle distance between two fixes
+  (and :func:`haversine_distances`, the same formula over arrays),
 * :class:`LocalProjection` — an equirectangular projection around a reference
   point, accurate to well under a metre over a metropolitan area, which is
   all the city-scale gathering mining needs,
@@ -18,10 +19,18 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
+import numpy as np
+
 from ..geometry.point import Point
 from .trajectory import Trajectory, TrajectoryDatabase
 
-__all__ = ["EARTH_RADIUS_M", "haversine_distance", "LocalProjection", "project_database"]
+__all__ = [
+    "EARTH_RADIUS_M",
+    "haversine_distance",
+    "haversine_distances",
+    "LocalProjection",
+    "project_database",
+]
 
 #: Mean Earth radius in metres (IUGG value).
 EARTH_RADIUS_M = 6_371_008.8
@@ -35,6 +44,20 @@ def haversine_distance(lat1: float, lon1: float, lat2: float, lon2: float) -> fl
     dlambda = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlambda / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * math.asin(math.sqrt(min(1.0, a)))
+
+
+def haversine_distances(
+    lat1: np.ndarray, lon1: np.ndarray, lat2: np.ndarray, lon2: np.ndarray
+) -> np.ndarray:
+    """:func:`haversine_distance` element-wise over arrays, operation for
+    operation (numpy's transcendentals may differ from :mod:`math` in the
+    last bits)."""
+    phi1 = np.radians(lat1)
+    phi2 = np.radians(lat2)
+    dphi = np.radians(lat2 - lat1)
+    dlambda = np.radians(lon2 - lon1)
+    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlambda / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.minimum(1.0, a)))
 
 
 @dataclass(frozen=True)

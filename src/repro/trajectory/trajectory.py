@@ -11,7 +11,7 @@ using the linear-interpolation model of Section II.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,7 +70,10 @@ class PositionArena:
         return int(self.offsets[index]), int(self.offsets[index + 1])
 
 
-@dataclass
+def _sample_time(sample: Tuple[float, Point]) -> float:
+    return sample[0]
+
+
 class Trajectory:
     """A single moving object's trajectory.
 
@@ -79,28 +82,63 @@ class Trajectory:
     object_id:
         Stable identifier of the moving object (e.g. a taxi id).
     samples:
-        Chronologically sorted ``(time, Point)`` pairs.
+        Chronologically sorted ``(time, Point)`` pairs.  A trajectory built
+        from columns (:meth:`TrajectoryDatabase.from_columns`) holds only
+        its ``(t, x, y)`` array and builds this list on first read; the
+        numpy miner reads :meth:`sample_triples`, ``len`` and the lifespan,
+        so it never builds a :class:`Point`.
     """
 
-    object_id: int
-    samples: List[Tuple[float, Point]] = field(default_factory=list)
-    #: Cached (t, x, y) array view of samples; rebuilt when the sample count
-    #: changes (excluded from equality/repr).
-    _triples: Optional["np.ndarray"] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __hash__ = None  # mutable, compared by value
 
-    def __post_init__(self) -> None:
-        self.samples = sorted(self.samples, key=lambda s: s[0])
+    def __init__(
+        self, object_id: int, samples: Optional[Iterable[Tuple[float, Point]]] = None
+    ) -> None:
+        self.object_id = object_id
+        self._samples: Optional[List[Tuple[float, Point]]] = sorted(
+            () if samples is None else samples, key=_sample_time
+        )
+        #: Cached (t, x, y) array view of samples; rebuilt when the sample
+        #: count changes.  Authoritative while ``_samples`` is ``None``.
+        self._triples: Optional[np.ndarray] = None
+
+    @classmethod
+    def _from_triples(cls, object_id: int, triples: np.ndarray) -> "Trajectory":
+        """A trajectory over time-sorted ``(n, 3)`` rows, samples built lazily."""
+        trajectory = cls.__new__(cls)
+        trajectory.object_id = object_id
+        trajectory._samples = None
+        trajectory._triples = triples
+        return trajectory
+
+    @property
+    def samples(self) -> List[Tuple[float, Point]]:
+        if self._samples is None:
+            self._samples = [(t, Point(x, y)) for t, x, y in self._triples.tolist()]
+        return self._samples
+
+    @samples.setter
+    def samples(self, samples: List[Tuple[float, Point]]) -> None:
+        self._samples = samples
+        self._triples = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.object_id, self.samples) == (other.object_id, other.samples)
+
+    def __repr__(self) -> str:
+        return f"Trajectory(object_id={self.object_id!r}, samples={self.samples!r})"
 
     # -- construction -------------------------------------------------------
     def add_sample(self, t: float, point: Point) -> None:
         """Append a sample, keeping the sequence sorted by time."""
-        if self.samples and t >= self.samples[-1][0]:
-            self.samples.append((t, point))
+        samples = self.samples
+        if samples and t >= samples[-1][0]:
+            samples.append((t, point))
         else:
-            self.samples.append((t, point))
-            self.samples.sort(key=lambda s: s[0])
+            samples.append((t, point))
+            samples.sort(key=_sample_time)
 
     @classmethod
     def from_coordinates(
@@ -112,25 +150,30 @@ class Trajectory:
 
     # -- basic properties ---------------------------------------------------
     def __len__(self) -> int:
-        return len(self.samples)
+        if self._samples is None:
+            return len(self._triples)
+        return len(self._samples)
 
     def __iter__(self) -> Iterator[Tuple[float, Point]]:
         return iter(self.samples)
 
     def is_empty(self) -> bool:
-        return not self.samples
+        return not len(self)
+
+    def _time_at(self, position: int, what: str) -> float:
+        if not len(self):
+            raise ValueError(f"empty trajectory has no {what} time")
+        if self._samples is None:
+            return float(self._triples[position, 0])
+        return self._samples[position][0]
 
     @property
     def start_time(self) -> float:
-        if not self.samples:
-            raise ValueError("empty trajectory has no start time")
-        return self.samples[0][0]
+        return self._time_at(0, "start")
 
     @property
     def end_time(self) -> float:
-        if not self.samples:
-            raise ValueError("empty trajectory has no end time")
-        return self.samples[-1][0]
+        return self._time_at(-1, "end")
 
     @property
     def lifespan(self) -> Tuple[float, float]:
@@ -155,6 +198,8 @@ class Trajectory:
         re-convert unchanged trajectories.
         """
         cached = self._triples
+        if self._samples is None:
+            return cached
         if cached is None or len(cached) != len(self.samples):
             cached = np.asarray(
                 [(t, p.x, p.y) for t, p in self.samples], dtype=float
@@ -209,6 +254,39 @@ class TrajectoryDatabase:
         if trajectories:
             for traj in trajectories:
                 self.add(traj)
+
+    @classmethod
+    def from_columns(
+        cls,
+        object_id: Sequence[int],
+        t: Sequence[float],
+        x: Sequence[float],
+        y: Sequence[float],
+    ) -> "TrajectoryDatabase":
+        """A database of ``(object_id, t, x, y)`` sample columns.
+
+        Equal to calling :meth:`add_sample` row by row: objects appear in
+        first-appearance order and each trajectory's samples are stably
+        sorted by time.  Each trajectory receives its ``(t, x, y)`` rows as
+        one array slice and builds its ``(t, Point)`` samples only when
+        they are first read.
+        """
+        database = cls()
+        if not len(object_id):
+            return database
+        order = np.lexsort((np.asarray(t, dtype=float), np.asarray(object_id)))
+        object_id = np.asarray(object_id)[order]
+        triples = np.stack([np.asarray(column, dtype=float)[order] for column in (t, x, y)], axis=1)
+        starts = np.flatnonzero(np.concatenate(([True], object_id[1:] != object_id[:-1])))
+        ends = np.append(starts[1:], len(order))
+        ids = object_id[starts].tolist()
+        first_row = np.minimum.reduceat(order, starts)
+        for group in np.argsort(first_row).tolist():
+            oid = ids[group]
+            database._trajectories[oid] = Trajectory._from_triples(
+                oid, triples[starts[group] : ends[group]]
+            )
+        return database
 
     # -- container protocol --------------------------------------------------
     def __len__(self) -> int:

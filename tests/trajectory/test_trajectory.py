@@ -145,3 +145,59 @@ class TestTrajectoryDatabase:
             [straight_line_trajectory(object_id=0, n=4), straight_line_trajectory(object_id=1, n=6)]
         )
         assert db.total_samples() == 10
+
+
+class TestFromColumns:
+    ROWS = [
+        (7, 2.0, 2.0, 0.5),
+        (3, 0.0, 0.0, 0.0),
+        (7, 1.0, 1.0, 0.5),
+        (3, 1.0, 1.5, -0.0),
+        (7, 1.0, 9.0, 9.0),  # a second sample at t=1 stays after the first
+        (5, 4.0, 4.0, 4.0),
+    ]
+
+    def columns(self, rows=None):
+        return [list(column) for column in zip(*(rows or self.ROWS))]
+
+    def test_equals_adding_samples_one_by_one(self):
+        expected = TrajectoryDatabase()
+        for oid, t, x, y in self.ROWS:
+            expected.add_sample(oid, t, Point(x, y))
+        database = TrajectoryDatabase.from_columns(*self.columns())
+        assert [tr.object_id for tr in database] == [7, 3, 5]
+        for ours, theirs in zip(database, expected):
+            assert repr(ours.samples) == repr(theirs.samples)
+            assert ours.sample_triples().tobytes() == theirs.sample_triples().tobytes()
+            assert ours == theirs
+
+    def test_trajectories_share_one_array(self):
+        rows = sorted(self.ROWS[:4], key=lambda row: (row[0], row[1]))
+        database = TrajectoryDatabase.from_columns(*self.columns(rows))
+        assert [tr.object_id for tr in database] == [3, 7]
+        assert database[3].sample_triples().base is database[7].sample_triples().base
+
+    def test_samples_are_built_on_first_read(self):
+        database = TrajectoryDatabase.from_columns(*self.columns())
+        trajectory = database[7]
+        assert (len(trajectory), trajectory.start_time, trajectory.end_time) == (3, 1.0, 2.0)
+        assert trajectory._samples is None
+        assert trajectory.samples[0] == (1.0, Point(1.0, 0.5))
+        assert all(type(value) is float for value in (trajectory.samples[0][0],
+                                                      trajectory.samples[0][1].x))
+
+    def test_lazy_trajectory_accepts_new_samples(self):
+        trajectory = TrajectoryDatabase.from_columns(*self.columns())[3]
+        trajectory.add_sample(0.5, Point(0.5, 0.5))
+        assert trajectory.timestamps() == [0.0, 0.5, 1.0]
+        assert trajectory.sample_triples()[:, 0].tolist() == [0.0, 0.5, 1.0]
+
+    def test_empty_columns(self):
+        assert len(TrajectoryDatabase.from_columns([], [], [], [])) == 0
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        trajectory = TrajectoryDatabase.from_columns(*self.columns())[5]
+        clone = pickle.loads(pickle.dumps(trajectory))
+        assert clone == trajectory
